@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test bench chaos live-chaos perf perf-check soak soak-smoke lint lint-otp fmt clippy ci clean
+.PHONY: all build test bench chaos live-chaos perf perf-check soak soak-smoke ledger-test lint lint-otp fmt clippy ci clean
 
 all: build
 
@@ -70,6 +70,11 @@ soak:
 soak-smoke:
 	$(CARGO) run --release -p otp-bench --bin soak -- --smoke --out SOAK.json
 
+## Build and test the otp-ledger benchmark. ledger/ is its own
+## workspace, so `make build`/`make test` never compile it.
+ledger-test:
+	$(CARGO) test --release --manifest-path ledger/Cargo.toml
+
 ## Formatting + lints, exactly as CI enforces them.
 lint: fmt clippy lint-otp
 
@@ -88,7 +93,7 @@ clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 ## The full CI pipeline, in CI's order.
-ci: build test chaos perf-check lint
+ci: build test chaos perf-check ledger-test lint
 
 clean:
 	$(CARGO) clean

@@ -11,10 +11,10 @@ use std::sync::Arc;
 /// The value type consensus agrees on: one batch of the definitive order.
 ///
 /// Behind an [`Arc`] because a batch fans out hard: every round's estimate
-/// carries it, the coordinator re-broadcasts it, every receiver relays the
-/// decision once, and the simulation driver clones the wire per receiver —
-/// sharing one allocation turns all of that into reference-count bumps
-/// (the consensus `Instance` fan-out item of the flamegraph wishlist).
+/// carries it, the coordinator proposes and then decides it to every site,
+/// and the simulation driver clones the wire per receiver — sharing one
+/// allocation turns all of that into reference-count bumps (the consensus
+/// `Instance` fan-out item of the flamegraph wishlist).
 pub type OrderBatch = Arc<Vec<MsgId>>;
 
 /// How far a recovering endpoint jumps its own message-sequence space past
@@ -182,8 +182,10 @@ pub enum Wire<P> {
         epoch: u64,
         /// The replying member.
         from: SiteId,
-        /// The member's broadcast-engine state at reply time.
-        snapshot: EngineSnapshot<P>,
+        /// The member's broadcast-engine state at reply time. Boxed: it is
+        /// by far the largest variant, and every wire — most of them small
+        /// data and consensus frames — would otherwise be as large as it.
+        snapshot: Box<EngineSnapshot<P>>,
     },
 }
 

@@ -566,9 +566,20 @@ mod tests {
     /// Synchronous lock-step driver: delivers all pending wires in FIFO
     /// order with zero delay. Good enough for unit-level protocol checks;
     /// the jittery/lossy cases live in the harness-based tests.
-    fn pump(engines: &mut [OptAbcast<u32>], mut wires: Vec<(SiteId, Option<SiteId>, Wire<u32>)>) {
+    fn pump(engines: &mut [OptAbcast<u32>], wires: Vec<(SiteId, Option<SiteId>, Wire<u32>)>) {
+        pump_withholding(engines, wires, |_, _| false);
+    }
+
+    /// [`pump`], except that every wire `withhold(to, wire)` selects never
+    /// reaches `to`. Returns the timers armed meanwhile, by site.
+    fn pump_withholding(
+        engines: &mut [OptAbcast<u32>],
+        mut wires: Vec<(SiteId, Option<SiteId>, Wire<u32>)>,
+        withhold: impl Fn(SiteId, &Wire<u32>) -> bool,
+    ) -> Vec<(SiteId, TimerToken)> {
         let n = engines.len();
         let dom = OrderDomain::global(n);
+        let mut timers = Vec::new();
         let mut guard = 0;
         while !wires.is_empty() {
             guard += 1;
@@ -578,17 +589,19 @@ mod tests {
                 Some(t) => vec![t],
                 None => SiteId::all(n).collect(),
             };
-            for t in targets {
+            for t in targets.into_iter().filter(|&t| !withhold(t, &wire)) {
                 let actions = engines[t.index()].on_receive(&ctx_at(&dom, t), from, wire.clone());
                 for a in actions {
                     match a {
                         EngineAction::Multicast(w) => wires.push((t, None, w)),
                         EngineAction::Send(dst, w) => wires.push((t, Some(dst), w)),
+                        EngineAction::SetTimer { token, .. } => timers.push((t, token)),
                         _ => {}
                     }
                 }
             }
         }
+        timers
     }
 
     fn collect_broadcast(
@@ -798,6 +811,41 @@ mod tests {
         straggler.on_receive(&c2, SiteId::new(0), decide_frames[0].clone());
         assert_eq!(straggler.decided_instances(), 2);
         assert_eq!(straggler.definitive_log(), es[0].definitive_log());
+    }
+
+    /// A site that never receives the coordinator's `Decide` frames still
+    /// TO-delivers, in the same order as everyone else: its round timers
+    /// fire, its `Nack`/`Estimate` reach decided sites, and the help-out
+    /// answers with the decisions.
+    #[test]
+    fn withheld_decides_are_recovered_through_the_helpout() {
+        let mut es = engines(3);
+        let dom = OrderDomain::global(3);
+        let straggler = SiteId::new(2);
+        let mut wires = Vec::new();
+        for (i, e) in es.iter_mut().enumerate() {
+            wires.extend(collect_broadcast(&dom, e, SiteId::new(i as u16), i as u32));
+        }
+        let is_decide =
+            |w: &Wire<u32>| matches!(w, Wire::Consensus { msg: ConsensusMsg::Decide { .. }, .. });
+        let timers = pump_withholding(&mut es, wires, |to, w| to == straggler && is_decide(w));
+        assert_eq!(es[0].definitive_log().len(), 3);
+        assert_eq!(es[0].definitive_log(), es[1].definitive_log());
+        assert!(es[2].definitive_log().is_empty(), "every decide was withheld");
+        // Only the straggler's timers matter: decided instances ignore theirs.
+        let c2 = ctx_at(&dom, straggler);
+        let mut wires = Vec::new();
+        for (site, token) in timers.into_iter().filter(|(site, _)| *site == straggler) {
+            for a in es[site.index()].on_timer(&c2, token) {
+                match a {
+                    EngineAction::Multicast(w) => wires.push((site, None, w)),
+                    EngineAction::Send(dst, w) => wires.push((site, Some(dst), w)),
+                    _ => {}
+                }
+            }
+        }
+        pump(&mut es, wires);
+        assert_eq!(es[2].definitive_log(), es[0].definitive_log());
     }
 
     /// A single owed decision still travels as the legacy `Decide` frame.

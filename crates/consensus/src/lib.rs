@@ -27,8 +27,16 @@
 //!    the highest adoption round, and proposes it to all;
 //! 3. a site that receives the proposal adopts it and acknowledges; a site
 //!    whose round timer fires first moves to the next round instead;
-//! 4. on a majority of acks the coordinator broadcasts *decide*; receivers
-//!    decide and relay the decision once (reliable broadcast).
+//! 4. on a majority of acks the coordinator decides and broadcasts
+//!    *decide*; receivers decide without re-broadcasting it.
+//!
+//! Only the coordinator broadcasts a decision: `n` decide frames per
+//! instance, not `n²`. The drivers' channels are reliable (a wire to a
+//! crashed or partitioned site is held, not dropped), so a receiver's
+//! relay would never deliver a decision the coordinator's own broadcast
+//! does not. A site that still misses the decision — the coordinator
+//! crashed mid-broadcast — keeps running rounds, and a decided site
+//! answers its next `Estimate` with the decision.
 //!
 //! # Example
 //!
@@ -96,7 +104,8 @@ pub enum ConsensusMsg<V> {
         /// Rejected round.
         round: u64,
     },
-    /// Phase 4: the decision, reliably re-broadcast by every receiver.
+    /// Phase 4: the decision, broadcast by the deciding coordinator (and
+    /// by any decided site answering a late `Estimate`).
     Decide {
         /// Decided value.
         value: V,
@@ -194,7 +203,7 @@ impl<V> Default for CoordState<V> {
 /// Drive it with [`Instance::on_message`] and [`Instance::on_timeout`];
 /// execute the returned [`Action`]s. The instance is silent after deciding
 /// except for answering late `Estimate`s with the decision, which lets
-/// stragglers catch up without a full reliable-broadcast layer.
+/// stragglers catch up without a reliable-broadcast layer.
 #[derive(Debug, Clone)]
 pub struct Instance<V> {
     me: SiteId,
@@ -346,7 +355,11 @@ impl<V: Clone + fmt::Debug> Instance<V> {
         };
         state.acks.insert(from);
         if state.acks.len() >= quorum {
-            return self.on_decide(proposal);
+            // The coordinator's own quorum decided: it alone tells everyone.
+            let mut actions =
+                vec![Action::Broadcast(ConsensusMsg::Decide { value: proposal.clone() })];
+            actions.extend(self.on_decide(proposal));
+            return actions;
         }
         Vec::new()
     }
@@ -358,17 +371,14 @@ impl<V: Clone + fmt::Debug> Instance<V> {
         Vec::new()
     }
 
+    /// Records a decision, from a `Decide` frame or the coordinator's own
+    /// ack quorum. Never re-broadcasts it: see the crate docs.
     fn on_decide(&mut self, value: V) -> Vec<Action<V>> {
         if self.decided.is_some() {
             return Vec::new();
         }
         self.decided = Some(value.clone());
-        vec![
-            // Relay once — poor man's reliable broadcast: if the original
-            // sender crashes mid-broadcast, receivers propagate.
-            Action::Broadcast(ConsensusMsg::Decide { value: value.clone() }),
-            Action::Decided(value),
-        ]
+        vec![Action::Decided(value)]
     }
 }
 
@@ -386,6 +396,9 @@ mod tests {
         crashed: Vec<bool>,
         hop: SimDuration,
         skew: Vec<SimDuration>,
+        /// When set, the first `Decide` broadcast reaches only this site
+        /// and its sender crashes right after sending it.
+        decide_reaches_only: Option<SiteId>,
     }
 
     enum Ev {
@@ -402,6 +415,7 @@ mod tests {
                 crashed: vec![false; n],
                 hop: SimDuration::from_micros(100),
                 skew: vec![SimDuration::ZERO; n],
+                decide_reaches_only: None,
             };
             for (i, &p) in proposals.iter().enumerate() {
                 let me = SiteId::new(i as u16);
@@ -421,6 +435,13 @@ mod tests {
                             now + self.hop + self.skew[me.index()],
                             Ev::Msg { from: me, to, msg },
                         );
+                    }
+                    Action::Broadcast(msg @ ConsensusMsg::Decide { .. })
+                        if self.decide_reaches_only.is_some() =>
+                    {
+                        let to = self.decide_reaches_only.take().expect("checked");
+                        self.queue.schedule(now + self.hop, Ev::Msg { from: me, to, msg });
+                        self.crashed[me.index()] = true;
                     }
                     Action::Broadcast(msg) => {
                         for to in SiteId::all(self.instances.len()) {
@@ -567,6 +588,33 @@ mod tests {
             actions.iter().any(|a| matches!(a, Action::Broadcast(ConsensusMsg::Decide { .. }))),
             "decided site should replay the decision: {actions:?}"
         );
+    }
+
+    #[test]
+    fn received_decide_is_recorded_not_relayed() {
+        let cfg = InstanceConfig::new(3, SimDuration::from_millis(10));
+        let (mut inst, _) = Instance::new(SiteId::new(1), cfg, 7u32);
+        let actions = inst.on_message(SiteId::new(0), ConsensusMsg::Decide { value: 8 });
+        assert_eq!(actions, vec![Action::Decided(8)]);
+        assert_eq!(inst.decided(), Some(&8));
+    }
+
+    /// The coordinator crashes right after its `Decide` reached a single
+    /// site: the survivors still decide its value, by rotating to a new
+    /// coordinator that either is the decided site (it answers their
+    /// estimates with the decision) or re-proposes the locked value.
+    #[test]
+    fn coordinator_crash_mid_decide_broadcast_still_agrees() {
+        for only in 1..5u16 {
+            let mut d = Driver::new(5, &[10, 20, 30, 40, 50]);
+            d.decide_reaches_only = Some(SiteId::new(only));
+            d.run(SimTime::from_secs(30));
+            assert!(d.crashed[0], "round-0 coordinator decided and crashed");
+            let v = d.instances[0].decided().copied().expect("coordinator decided");
+            for i in 1..5 {
+                assert_eq!(d.decisions()[i], Some(v), "site {i}, decide sent to {only}");
+            }
+        }
     }
 
     #[test]

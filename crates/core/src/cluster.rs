@@ -1697,7 +1697,7 @@ impl Cluster {
                     self.engines[to.index()].snapshot()
                 };
                 self.record_install(to, d, epoch, self.domain_sequencer(du) == Some(initiator));
-                let digest = Wire::StateDigest { epoch, from: to, snapshot };
+                let digest = Wire::StateDigest { epoch, from: to, snapshot: Box::new(snapshot) };
                 let size = digest.size_bytes();
                 let now = self.queue.now();
                 if self.topology.cross_frame(to, initiator) {
@@ -1715,7 +1715,7 @@ impl Cluster {
                     self.stale_view_digests.incr(); // reply to a dead round
                     return;
                 };
-                match round.on_digest(from, epoch, snapshot) {
+                match round.on_digest(from, epoch, *snapshot) {
                     DigestOutcome::Completed => self.install_view_for(d, to),
                     DigestOutcome::Accepted => {}
                     DigestOutcome::WrongEpoch { .. } | DigestOutcome::Unexpected => {
@@ -2542,6 +2542,16 @@ mod tests {
             }
         }
         data
+    }
+
+    /// Every event-heap sift and per-receiver wire clone moves a whole
+    /// `Wire`/`Ev`, so the rare large variant (a view-change digest) must
+    /// stay boxed instead of sizing every data and consensus frame.
+    #[test]
+    fn wires_and_events_stay_small() {
+        let (wire, ev) = (std::mem::size_of::<Wire<TxnPayload>>(), std::mem::size_of::<Ev>());
+        assert!(wire <= 64, "Wire<TxnPayload> is {wire} bytes");
+        assert!(ev <= 64, "Ev is {ev} bytes");
     }
 
     fn cluster(cfg: ClusterConfig, data: Vec<(ObjectId, Value)>) -> Cluster {

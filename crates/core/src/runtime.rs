@@ -610,6 +610,7 @@ impl LiveCluster {
             jitter_span: config.net_jitter,
             retransmit: config.net_delay.max(Duration::from_micros(500)),
             rng: SimRng::seed_from(config.seed ^ 0x6e65_745f_7468_6421),
+            ingest_max: config.net_queue,
         };
         let net_handle = std::thread::spawn(move || {
             net_main(net_rx, site_txs_for_net, shared_for_net, chaos_for_net, net_rules)
@@ -1038,12 +1039,14 @@ impl LiveCluster {
 
 /// Static inputs the network thread needs for fault emulation: the
 /// baseline jitter span (scaled during a jitter spike), the retransmission
-/// delay charged to a "lost" wire, and a private rng stream for loss and
-/// jitter draws.
+/// delay charged to a "lost" wire, a private rng stream for loss and
+/// jitter draws, and its ingest bound.
 struct NetRules {
     jitter_span: Duration,
     retransmit: Duration,
     rng: SimRng,
+    /// Most wires ingested in one pass: the net channel's capacity.
+    ingest_max: usize,
 }
 
 /// Network thread: a delay heap between the sites. Never blocks on a site
@@ -1140,15 +1143,24 @@ fn net_main(
             .unwrap_or(NET_IDLE)
             .min(NET_IDLE);
         match rx.recv_timeout(timeout) {
-            Ok(mut w) => {
-                let scale = chaos.jitter_scale();
-                if scale > 1.0 && !rules.jitter_span.is_zero() {
-                    // Jitter spike: stretch the spread (not the base
-                    // delay), mirroring the sim's scaled jitter draw.
-                    let extra = rules.jitter_span.mul_f64((scale - 1.0) * rules.rng.uniform_f64());
-                    w.due += extra;
+            Ok(first) => {
+                // Ingest everything already queued (at most one channel's
+                // worth) before the next due-pop. Taking one wire per pass
+                // let a backlog build up in the channel under load; its
+                // wires reached the heap overdue and left in send order,
+                // so every site saw the same receive order and the
+                // configured jitter silently vanished.
+                for mut w in std::iter::once(first).chain(rx.try_iter().take(rules.ingest_max)) {
+                    let scale = chaos.jitter_scale();
+                    if scale > 1.0 && !rules.jitter_span.is_zero() {
+                        // Jitter spike: stretch the spread (not the base
+                        // delay), mirroring the sim's scaled jitter draw.
+                        let extra =
+                            rules.jitter_span.mul_f64((scale - 1.0) * rules.rng.uniform_f64());
+                        w.due += extra;
+                    }
+                    heap.push(w);
                 }
-                heap.push(w);
             }
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,

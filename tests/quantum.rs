@@ -27,10 +27,10 @@ fn zero_quantum_reproduces_the_pre_quantum_schedule() {
     let cell: PerfCell = "opt-otp-uniform".parse().unwrap();
     let m = run_perf_cell_with_quantum(&cell, PERF_TXNS, PERF_SEED, SimDuration::ZERO);
     assert_eq!(m.completed, 240);
-    assert_eq!(m.p50_commit_ns, 3_824_115);
-    assert_eq!(m.p99_commit_ns, 5_936_604);
-    assert_eq!(m.sim_duration_ns, 174_009_712);
-    assert!((m.msgs_per_commit - 4.675).abs() < 5e-5, "{}", m.msgs_per_commit);
+    assert_eq!(m.p50_commit_ns, 3_107_783);
+    assert_eq!(m.p99_commit_ns, 4_761_112);
+    assert_eq!(m.sim_duration_ns, 174_280_056);
+    assert!((m.msgs_per_commit - 4.570833).abs() < 5e-5, "{}", m.msgs_per_commit);
 
     let cell: PerfCell = "seq-otp-tpcb".parse().unwrap();
     let m = run_perf_cell_with_quantum(&cell, PERF_TXNS, PERF_SEED, SimDuration::ZERO);
