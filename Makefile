@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test bench chaos live-chaos perf perf-check soak soak-smoke ledger-test lint lint-otp fmt clippy ci clean
+.PHONY: all build test test-consensus bench chaos live-chaos perf perf-check soak soak-smoke ledger-test lint lint-otp fmt clippy ci clean
 
 all: build
 
@@ -29,6 +29,11 @@ build:
 ## plus the examples smoke suite.
 test:
 	PROPTEST_CASES=$(PROPTEST_CASES) $(CARGO) test -q
+
+## Run the consensus and broadcast crates' tests with property suites at
+## 1024 cases (same value CI uses): the agreement protocol lives there.
+test-consensus:
+	PROPTEST_CASES=1024 $(CARGO) test --release -p otp-consensus -p otp-broadcast
 
 ## Run the criterion-style micro-benchmarks (wall-clock, release).
 bench:
@@ -93,7 +98,7 @@ clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 ## The full CI pipeline, in CI's order.
-ci: build test chaos perf-check ledger-test lint
+ci: build test test-consensus chaos perf-check ledger-test lint
 
 clean:
 	$(CARGO) clean

@@ -105,8 +105,12 @@ fn bench_consensus_instance(c: &mut Criterion) {
                 for s in SiteId::all(5) {
                     let (inst, actions) = Instance::new(s, cfg, s.raw() as u32);
                     for a in actions {
-                        if let Action::Send(to, m) = a {
-                            msgs.push((s, to, m));
+                        match a {
+                            Action::Send(to, m) => msgs.push((s, to, m)),
+                            Action::Broadcast(m) => {
+                                msgs.extend(SiteId::all(5).map(|to| (s, to, m.clone())));
+                            }
+                            _ => {}
                         }
                     }
                     instances.push(inst);

@@ -24,10 +24,22 @@
 //! A site initiates instance `k+1` as soon as instance `k` has decided and
 //! it still has undecided messages; a site joins any instance it first
 //! hears about from others (with its own undecided list as its proposal,
-//! possibly empty). Ties between equally-fresh consensus estimates are
-//! broken by `Vec<MsgId>`'s lexicographic order, which prefers non-empty
-//! batches — so progress is made as long as some site has undecided
-//! messages.
+//! possibly empty). Round 0 of every instance has no estimate phase: its
+//! coordinator proposes its own undecided list at once (see
+//! `otp_consensus`). A later round's coordinator proposes the last
+//! estimate of highest adoption round among the quorum it collected.
+//! A decided batch may be empty; the next instance then orders what is
+//! still undecided, so progress is made as long as some site has
+//! undecided messages.
+//!
+//! ## Stragglers
+//!
+//! A decided instance answers only a late `Estimate` with its decision
+//! (the help-out, batched per receive call). Every decision leaves its
+//! coordinator as a `Decide` multicast to all members, and neither driver
+//! drops a wire, so a late `Ack`, `Nack` or `Propose` needs no answer. A
+//! site that still misses the decision keeps running rounds, and its next
+//! round timer sends an `Estimate`.
 
 use crate::domain::EngineCtx;
 use crate::msg::{EngineAction, Message, MsgId, OrderBatch, TimerToken, Wire, RECOVERY_SEQ_GAP};
@@ -110,6 +122,11 @@ pub struct OptAbcast<P> {
     /// Delivery cursor: next instance to drain and offset within it.
     cursor_instance: u64,
     cursor_pos: usize,
+    /// Instances below this number may carry a round-0 proposal of an
+    /// earlier incarnation of this site, lost in a crash: they are joined
+    /// with [`Instance::rejoin`], which proposes nothing in round 0. Set by
+    /// [`AtomicBroadcast::restore`]; 0 for an engine that never crashed.
+    rejoin_below: u64,
     /// Decision help-outs owed to stragglers, accumulated during one
     /// receive call and flushed as one frame per target — a straggler that
     /// asks about several already-decided instances in one tick gets a
@@ -137,6 +154,7 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
             batch_timer_for: None,
             cursor_instance: 0,
             cursor_pos: 0,
+            rejoin_below: 0,
             pending_helpouts: BTreeMap::new(),
         }
     }
@@ -248,7 +266,11 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         // the proposal (estimates, proposes, decides, per-receiver wire
         // fan-out) shares it.
         let proposal: OrderBatch = Arc::new(self.undecided.clone());
-        let (inst, actions) = Instance::new(me, self.ccfg, proposal);
+        let (inst, actions) = if instance < self.rejoin_below {
+            Instance::rejoin(me, self.ccfg, proposal)
+        } else {
+            Instance::new(me, self.ccfg, proposal)
+        };
         self.instances.insert(instance, inst);
         self.consensus_actions(me, instance, actions)
     }
@@ -329,11 +351,14 @@ impl<P: Clone + std::fmt::Debug> OptAbcast<P> {
         instance: u64,
         msg: ConsensusMsg<OrderBatch>,
     ) -> Vec<EngineAction<P>> {
-        // Already decided instance: help the straggler with the decision.
-        // Buffered, not sent — the receive path flushes everything owed to
-        // one target as a single frame per tick (see `flush_helpouts`).
+        // Already decided instance: an `Estimate` comes from a straggler
+        // still running rounds, so help it with the decision. Buffered,
+        // not sent — the receive path flushes everything owed to one
+        // target as a single frame per tick (see `flush_helpouts`). Any
+        // other late frame is answered by the coordinator's `Decide`
+        // multicast already (module docs, "Stragglers").
         if self.decided.contains_key(&instance) {
-            if !matches!(msg, ConsensusMsg::Decide { .. }) {
+            if matches!(msg, ConsensusMsg::Estimate { .. }) {
                 self.pending_helpouts.entry(from).or_default().insert(instance);
             }
             return Vec::new();
@@ -476,6 +501,10 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
             epoch: 0,
             order_fence: 0,
             min_delivered: self.definitive_log.len() as u64,
+            joined_below: self
+                .rejoin_below
+                .max(self.decided.last_key_value().map_or(0, |(k, _)| k + 1))
+                .max(self.instances.keys().max().map_or(0, |k| k + 1)),
         }
     }
 
@@ -519,6 +548,7 @@ impl<P: Clone + std::fmt::Debug> AtomicBroadcast<P> for OptAbcast<P> {
             }
         }
         self.next_initiate = self.cursor_instance;
+        self.rejoin_below = snapshot.joined_below;
         // Our own sequence numbers must not collide with pre-crash ones.
         // Scan *everything* the snapshot reports, not just the payload
         // store: a decided batch can name an own id whose data the donor
@@ -815,7 +845,7 @@ mod tests {
 
     /// A site that never receives the coordinator's `Decide` frames still
     /// TO-delivers, in the same order as everyone else: its round timers
-    /// fire, its `Nack`/`Estimate` reach decided sites, and the help-out
+    /// fire, their `Estimate`s reach decided sites, and the help-out
     /// answers with the decisions.
     #[test]
     fn withheld_decides_are_recovered_through_the_helpout() {
@@ -846,6 +876,41 @@ mod tests {
         }
         pump(&mut es, wires);
         assert_eq!(es[2].definitive_log(), es[0].definitive_log());
+    }
+
+    /// A decided instance answers a late `Estimate` with a help-out, and
+    /// stays silent on a late `Ack`, `Nack` or `Propose`: the sender of
+    /// those gets the coordinator's `Decide` multicast anyway.
+    #[test]
+    fn helpout_answers_late_estimates_only() {
+        let mut es = engines(3);
+        let dom = OrderDomain::global(3);
+        let wires = collect_broadcast(&dom, &mut es[0], SiteId::new(0), 7);
+        pump(&mut es, wires);
+        assert_eq!(es[0].decided_instances(), 1);
+        let c0 = ctx_at(&dom, SiteId::new(0));
+        let batch: OrderBatch = Arc::new(vec![]);
+        let silent = [
+            ConsensusMsg::Ack { round: 0 },
+            ConsensusMsg::Nack { round: 0 },
+            ConsensusMsg::Propose { round: 1, value: Arc::clone(&batch) },
+        ];
+        for msg in silent {
+            let wire = Wire::Consensus { instance: 0, msg: msg.clone() };
+            let actions = es[0].on_receive(&c0, SiteId::new(2), wire);
+            assert!(actions.is_empty(), "late {msg:?} must not be answered: {actions:?}");
+        }
+        let estimate = ConsensusMsg::Estimate { round: 1, est: batch, ts: 0 };
+        let actions =
+            es[0].on_receive(&c0, SiteId::new(2), Wire::Consensus { instance: 0, msg: estimate });
+        assert!(
+            matches!(
+                actions.as_slice(),
+                [EngineAction::Send(to, Wire::Consensus { instance: 0, msg: ConsensusMsg::Decide { .. } })]
+                    if *to == SiteId::new(2)
+            ),
+            "{actions:?}"
+        );
     }
 
     /// A single owed decision still travels as the legacy `Decide` frame.
@@ -902,6 +967,44 @@ mod tests {
         fresh.bump_incarnation();
         let (id, _) = fresh.broadcast(&c2, 9);
         assert!(id.seq > huge, "must clear every reported id: {} <= {huge}", id.seq);
+    }
+
+    /// A restored engine joins every instance its dead predecessor may
+    /// have joined without a round-0 proposal (the predecessor may have
+    /// proposed another value there), and proposes at once again beyond
+    /// that horizon, which its own snapshots carry on.
+    #[test]
+    fn restored_engine_rejoins_below_the_snapshot_horizon() {
+        let me = SiteId::new(0);
+        let mut snap: EngineSnapshot<u32> = EngineSnapshot::empty();
+        snap.joined_below = 1;
+        snap.received.push(Message { id: MsgId::new(SiteId::new(1), 0), payload: 5 });
+        let cfg = OptAbcastConfig::new(3, SimDuration::from_millis(20));
+        let dom = OrderDomain::global(3);
+        let c0 = ctx_at(&dom, me);
+        let mut fresh: OptAbcast<u32> = OptAbcast::new(cfg);
+        fresh.restore(&c0, snap);
+        assert_eq!(fresh.snapshot().joined_below, 1);
+        let proposes = |actions: &[EngineAction<u32>]| {
+            actions
+                .iter()
+                .filter(|a| {
+                    matches!(
+                        a,
+                        EngineAction::Multicast(Wire::Consensus {
+                            msg: ConsensusMsg::Propose { .. },
+                            ..
+                        })
+                    )
+                })
+                .count()
+        };
+        let ack = |instance| Wire::Consensus { instance, msg: ConsensusMsg::Ack { round: 0 } };
+        let below = fresh.on_receive(&c0, SiteId::new(1), ack(0));
+        assert_eq!(proposes(&below), 0, "{below:?}");
+        let beyond = fresh.on_receive(&c0, SiteId::new(1), ack(1));
+        assert_eq!(proposes(&beyond), 1, "{beyond:?}");
+        assert_eq!(fresh.snapshot().joined_below, 2);
     }
 
     #[test]

@@ -44,6 +44,14 @@ pub struct EngineSnapshot<P> {
     /// `or_insert`. Bounds the re-announce frame by the in-flight window
     /// instead of by history.
     pub min_delivered: u64,
+    /// Every consensus instance the snapshotting engine may have joined
+    /// lies below this number (0 for engines without consensus); under
+    /// [`EngineSnapshot::merge`] the maximum. A restored optimistic engine
+    /// joins every instance below it without a round-0 proposal: its dead
+    /// predecessor may have proposed there already (see
+    /// `otp_consensus::Instance::rejoin`). A driver restoring a site folds
+    /// in the site's own pre-crash engine, which models stable storage.
+    pub joined_below: u64,
 }
 
 impl<P> EngineSnapshot<P> {
@@ -62,6 +70,7 @@ impl<P> EngineSnapshot<P> {
             epoch: 0,
             order_fence: 0,
             min_delivered: u64::MAX,
+            joined_below: 0,
         }
     }
 
@@ -83,7 +92,8 @@ impl<P> EngineSnapshot<P> {
     ///   what closes the single-donor renumber window;
     /// * `epoch` / `order_fence` — max;
     /// * `min_delivered` — min: the floor of the restored sequencer's
-    ///   delta re-announce (everything below it is delivered everywhere).
+    ///   delta re-announce (everything below it is delivered everywhere);
+    /// * `joined_below` — max.
     pub fn merge(&mut self, other: EngineSnapshot<P>) {
         for (instance, batch) in other.decided {
             self.decided.entry(instance).or_insert(batch);
@@ -108,6 +118,7 @@ impl<P> EngineSnapshot<P> {
         self.epoch = self.epoch.max(other.epoch);
         self.order_fence = self.order_fence.max(other.order_fence);
         self.min_delivered = self.min_delivered.min(other.min_delivered);
+        self.joined_below = self.joined_below.max(other.joined_below);
     }
 }
 

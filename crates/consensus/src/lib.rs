@@ -30,6 +30,24 @@
 //! 4. on a majority of acks the coordinator decides and broadcasts
 //!    *decide*; receivers decide without re-broadcasting it.
 //!
+//! Round 0 has no phase 1: its coordinator proposes its own initial value
+//! at once, and every other site only arms the round-0 timer. That is
+//! safe because no site can have adopted a value before round 0: every
+//! round-0 estimate carries adoption round 0, so the locking rule of step
+//! 2 would accept any of them, the coordinator's own included. Rounds
+//! ≥ 1 run all four steps, so a value a quorum adopted in round 0 is
+//! still the one a later coordinator must pick. In the failure-free case
+//! an instance costs one propose multicast, `n` acks and one decide
+//! multicast: one hop and `n` estimate frames fewer than a full first
+//! round.
+//!
+//! The shortcut needs one thing the estimate phase used to give for free:
+//! a coordinator proposes at most once per round. (An estimate quorum
+//! cannot form twice for one round, because each site sends one estimate
+//! per round.) A coordinator that crashed and restarted without its state
+//! therefore starts such instances with [`Instance::rejoin`], which makes
+//! no round-0 proposal.
+//!
 //! Only the coordinator broadcasts a decision: `n` decide frames per
 //! instance, not `n²`. The drivers' channels are reliable (a wire to a
 //! crashed or partitioned site is held, not dropped), so a receiver's
@@ -221,10 +239,34 @@ pub struct Instance<V> {
 impl<V: Clone + fmt::Debug> Instance<V> {
     /// Starts an instance with this site's `initial` proposal.
     ///
-    /// Returns the instance plus the initial actions (the round-0 estimate
-    /// and the round-0 timer).
+    /// Returns the instance plus the initial actions: the round-0 timer,
+    /// preceded at the round-0 coordinator by its `Propose` of `initial`
+    /// (see the crate docs on the fast first round).
     pub fn new(me: SiteId, cfg: InstanceConfig, initial: V) -> (Self, Vec<Action<V>>) {
-        let mut inst = Instance {
+        let mut inst = Self::idle(me, cfg, initial);
+        let actions = inst.enter_round(0);
+        (inst, actions)
+    }
+
+    /// Starts an instance whose round 0 an earlier incarnation of this
+    /// site may already have coordinated, with its state since lost in a
+    /// crash. The site makes no round-0 proposal and ignores round-0
+    /// estimates and acks: a second round-0 proposal could differ from the
+    /// first, and one round must never carry two values. Every site moves
+    /// on to round 1 when its round-0 timer fires, and the locking rule
+    /// keeps whatever a quorum adopted from the lost proposal.
+    ///
+    /// Returns the instance plus its only initial action, the round-0
+    /// timer.
+    pub fn rejoin(me: SiteId, cfg: InstanceConfig, initial: V) -> (Self, Vec<Action<V>>) {
+        let mut inst = Self::idle(me, cfg, initial);
+        inst.coord.entry(0).or_default().abandoned = true;
+        (inst, vec![Action::SetTimer { round: 0, delay: cfg.timeout_for(0) }])
+    }
+
+    /// An instance in round 0 that has sent nothing yet.
+    fn idle(me: SiteId, cfg: InstanceConfig, initial: V) -> Self {
+        Instance {
             me,
             cfg,
             round: 0,
@@ -233,9 +275,7 @@ impl<V: Clone + fmt::Debug> Instance<V> {
             decided: None,
             coord: HashMap::new(),
             acked_round: None,
-        };
-        let actions = inst.enter_round(0);
-        (inst, actions)
+        }
     }
 
     /// The decision, if this instance has decided.
@@ -277,12 +317,23 @@ impl<V: Clone + fmt::Debug> Instance<V> {
     fn enter_round(&mut self, round: u64) -> Vec<Action<V>> {
         self.round = round;
         let coord = self.cfg.coordinator(round);
+        let timer = Action::SetTimer { round, delay: self.cfg.timeout_for(round) };
+        if round == 0 {
+            // Fast first round: every round-0 estimate has ts = 0, so the
+            // coordinator's own is as valid a pick as any quorum's.
+            if coord != self.me {
+                return vec![timer];
+            }
+            let value = self.est.clone();
+            self.coord.entry(0).or_default().proposal = Some(value.clone());
+            return vec![Action::Broadcast(ConsensusMsg::Propose { round, value }), timer];
+        }
         vec![
             Action::Send(
                 coord,
                 ConsensusMsg::Estimate { round, est: self.est.clone(), ts: self.ts },
             ),
-            Action::SetTimer { round, delay: self.cfg.timeout_for(round) },
+            timer,
         ]
     }
 
@@ -399,6 +450,12 @@ mod tests {
         /// When set, the first `Decide` broadcast reaches only this site
         /// and its sender crashes right after sending it.
         decide_reaches_only: Option<SiteId>,
+        /// When set, the round-0 `Propose` reaches only these sites.
+        round0_propose_reaches: Option<Vec<SiteId>>,
+        /// When set, this site crashes instead of handling the `Ack` that
+        /// would complete its quorum (so every earlier ack is handled).
+        crash_on_quorum_ack: Option<SiteId>,
+        acks_seen: usize,
     }
 
     enum Ev {
@@ -416,11 +473,24 @@ mod tests {
                 hop: SimDuration::from_micros(100),
                 skew: vec![SimDuration::ZERO; n],
                 decide_reaches_only: None,
+                round0_propose_reaches: None,
+                crash_on_quorum_ack: None,
+                acks_seen: 0,
             };
-            for (i, &p) in proposals.iter().enumerate() {
-                let me = SiteId::new(i as u16);
-                let (inst, actions) = Instance::new(me, cfg, p);
-                d.instances.push(inst);
+            // Build every instance before applying any initial action: a
+            // broadcast addresses `self.instances`, so a round-0 `Propose`
+            // applied mid-construction would miss the later sites.
+            let initial: Vec<_> = proposals
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| {
+                    let me = SiteId::new(i as u16);
+                    let (inst, actions) = Instance::new(me, cfg, p);
+                    d.instances.push(inst);
+                    (me, actions)
+                })
+                .collect();
+            for (me, actions) in initial {
                 d.apply_actions(me, actions);
             }
             d
@@ -442,6 +512,16 @@ mod tests {
                         let to = self.decide_reaches_only.take().expect("checked");
                         self.queue.schedule(now + self.hop, Ev::Msg { from: me, to, msg });
                         self.crashed[me.index()] = true;
+                    }
+                    Action::Broadcast(msg @ ConsensusMsg::Propose { round: 0, .. })
+                        if self.round0_propose_reaches.is_some() =>
+                    {
+                        for &to in self.round0_propose_reaches.as_ref().expect("checked") {
+                            self.queue.schedule(
+                                now + self.hop + self.skew[me.index()],
+                                Ev::Msg { from: me, to, msg: msg.clone() },
+                            );
+                        }
                     }
                     Action::Broadcast(msg) => {
                         for to in SiteId::all(self.instances.len()) {
@@ -469,6 +549,15 @@ mod tests {
                     Ev::Msg { from, to, msg } => {
                         if self.crashed[to.index()] {
                             continue;
+                        }
+                        if matches!(msg, ConsensusMsg::Ack { .. })
+                            && self.crash_on_quorum_ack == Some(to)
+                        {
+                            self.acks_seen += 1;
+                            if self.acks_seen == self.instances.len() / 2 + 1 {
+                                self.crashed[to.index()] = true;
+                                continue;
+                            }
                         }
                         let actions = self.instances[to.index()].on_message(from, msg);
                         self.apply_actions(to, actions);
@@ -617,21 +706,107 @@ mod tests {
         }
     }
 
+    /// Round 0 has no estimate phase: its coordinator proposes its own
+    /// value at once, every other site only arms the round-0 timer.
+    #[test]
+    fn round_zero_coordinator_proposes_without_estimates() {
+        let cfg = InstanceConfig::new(3, SimDuration::from_millis(10));
+        let timer = Action::SetTimer { round: 0, delay: cfg.timeout_for(0) };
+        let (_, actions) = Instance::new(SiteId::new(0), cfg, 7u32);
+        assert_eq!(
+            actions,
+            vec![Action::Broadcast(ConsensusMsg::Propose { round: 0, value: 7 }), timer.clone()]
+        );
+        for site in 1..3u16 {
+            let (_, actions) = Instance::new(SiteId::new(site), cfg, 7u32);
+            assert_eq!(actions, vec![timer.clone()], "site {site}");
+        }
+    }
+
+    /// Later rounds keep the estimate phase: a site whose round-0 timer
+    /// fires nacks round 0 and sends its estimate to the round-1
+    /// coordinator.
+    #[test]
+    fn later_rounds_keep_the_estimate_phase() {
+        let cfg = InstanceConfig::new(3, SimDuration::from_millis(10));
+        let (mut inst, _) = Instance::new(SiteId::new(2), cfg, 7u32);
+        let actions = inst.on_timeout(0);
+        assert_eq!(
+            actions,
+            vec![
+                Action::Send(SiteId::new(0), ConsensusMsg::Nack { round: 0 }),
+                Action::Send(SiteId::new(1), ConsensusMsg::Estimate { round: 1, est: 7, ts: 0 }),
+                Action::SetTimer { round: 1, delay: cfg.timeout_for(1) },
+            ]
+        );
+    }
+
+    /// The round-0 coordinator crashes after a quorum acked its proposal
+    /// but before it could decide. The proposal reached only that quorum,
+    /// and the round-1 coordinator is not in it: every round-1 estimate
+    /// quorum still holds an adopted copy, so the locking rule makes the
+    /// survivors decide the dead coordinator's value.
+    #[test]
+    fn round_zero_value_acked_by_a_quorum_survives_coordinator_crash() {
+        let mut d = Driver::new(5, &[10, 20, 30, 40, 50]);
+        d.round0_propose_reaches = Some(vec![SiteId::new(0), SiteId::new(3), SiteId::new(4)]);
+        d.crash_on_quorum_ack = Some(SiteId::new(0));
+        d.run(SimTime::from_secs(30));
+        assert!(d.crashed[0], "the coordinator crashed on its quorum ack");
+        assert!(d.instances[0].decided().is_none(), "it never decided");
+        for i in 1..5 {
+            assert_eq!(d.decisions()[i], Some(10), "site {i}");
+        }
+        assert!(d.instances[1].round() >= 1, "decided in a later round");
+    }
+
+    /// The round-0 coordinator crashes after a quorum acked its proposal
+    /// and restarts without its state, with another value. Rejoining, it
+    /// proposes nothing in round 0 and ignores the replayed acks of its
+    /// lost proposal; the survivors' locking rule then decides the lost
+    /// proposal everywhere. (Through `Instance::new` it would propose 99
+    /// and decide it on those very acks, while round 1 locks 10.)
+    #[test]
+    fn restarted_round_zero_coordinator_rejoins_without_a_proposal() {
+        let mut d = Driver::new(4, &[10, 20, 30, 40]);
+        d.round0_propose_reaches = Some(vec![SiteId::new(0), SiteId::new(2), SiteId::new(3)]);
+        d.crash_on_quorum_ack = Some(SiteId::new(0));
+        d.run(SimTime::from_millis(1));
+        assert!(d.crashed[0], "the coordinator crashed on its quorum ack");
+        d.crash_on_quorum_ack = None;
+        let cfg = InstanceConfig::new(4, SimDuration::from_millis(20));
+        let (inst, actions) = Instance::rejoin(SiteId::new(0), cfg, 99);
+        assert_eq!(actions, vec![Action::SetTimer { round: 0, delay: cfg.timeout_for(0) }]);
+        d.instances[0] = inst;
+        d.crashed[0] = false;
+        d.apply_actions(SiteId::new(0), actions);
+        for from in [0u16, 2, 3] {
+            let replayed =
+                d.instances[0].on_message(SiteId::new(from), ConsensusMsg::Ack { round: 0 });
+            assert!(replayed.is_empty(), "ack from {from}: {replayed:?}");
+        }
+        d.run(SimTime::from_secs(30));
+        assert_eq!(d.decisions(), vec![Some(10); 4]);
+    }
+
     #[test]
     fn nack_abandons_round_for_coordinator() {
         let cfg = InstanceConfig::new(3, SimDuration::from_millis(10));
-        let (mut inst, _) = Instance::new(SiteId::new(0), cfg, 7u32);
+        // Site 1 coordinates round 1 (round 0 has no estimates to gather).
+        let (mut inst, _) = Instance::new(SiteId::new(1), cfg, 7u32);
+        inst.on_timeout(0);
+        assert_eq!(inst.round(), 1);
         // Coordinator gathers a quorum and proposes.
         let a1 =
-            inst.on_message(SiteId::new(0), ConsensusMsg::Estimate { round: 0, est: 7, ts: 0 });
+            inst.on_message(SiteId::new(1), ConsensusMsg::Estimate { round: 1, est: 7, ts: 0 });
         assert!(a1.is_empty());
         let a2 =
-            inst.on_message(SiteId::new(1), ConsensusMsg::Estimate { round: 0, est: 8, ts: 0 });
+            inst.on_message(SiteId::new(2), ConsensusMsg::Estimate { round: 1, est: 8, ts: 0 });
         assert!(a2.iter().any(|a| matches!(a, Action::Broadcast(ConsensusMsg::Propose { .. }))));
         // A nack arrives before the acks; the acks must then be ignored.
-        inst.on_message(SiteId::new(2), ConsensusMsg::Nack { round: 0 });
-        let a3 = inst.on_message(SiteId::new(1), ConsensusMsg::Ack { round: 0 });
-        let a4 = inst.on_message(SiteId::new(2), ConsensusMsg::Ack { round: 0 });
+        inst.on_message(SiteId::new(0), ConsensusMsg::Nack { round: 1 });
+        let a3 = inst.on_message(SiteId::new(2), ConsensusMsg::Ack { round: 1 });
+        let a4 = inst.on_message(SiteId::new(0), ConsensusMsg::Ack { round: 1 });
         assert!(a3.is_empty() && a4.is_empty());
         assert!(inst.decided().is_none());
     }

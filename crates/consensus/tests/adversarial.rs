@@ -19,10 +19,20 @@ impl Net {
         let n = proposals.len();
         let cfg = InstanceConfig::new(n, SimDuration::from_millis(10));
         let mut net = Net { instances: Vec::new(), queue: Vec::new(), timers: Vec::new() };
-        for (i, &p) in proposals.iter().enumerate() {
-            let me = SiteId::new(i as u16);
-            let (inst, actions) = Instance::new(me, cfg, p);
-            net.instances.push(inst);
+        // Build every instance before absorbing any initial action: a
+        // broadcast addresses `net.instances`, so a round-0 `Propose`
+        // absorbed mid-construction would miss the later sites.
+        let initial: Vec<_> = proposals
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let me = SiteId::new(i as u16);
+                let (inst, actions) = Instance::new(me, cfg, p);
+                net.instances.push(inst);
+                (me, actions)
+            })
+            .collect();
+        for (me, actions) in initial {
             net.absorb(me, actions);
         }
         net

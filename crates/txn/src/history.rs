@@ -88,24 +88,49 @@ impl std::error::Error for Violation {}
 /// Two transactions conflict when they touch a common object and at least
 /// one writes it (r-w, w-r, w-w). The returned edges point from the
 /// transaction with the smaller position to the larger.
+///
+/// Pairs come from a per-object access index: each writer of an object is
+/// paired with the object's other accessors, so the cost follows the
+/// conflicting pairs, not all `n²` pairs of the history.
 pub fn conflict_edges(history: &[CommittedTxn]) -> BTreeSet<(TxnId, TxnId)> {
+    // The index: every access as `(object, history index, writes)`, sorted
+    // so each object's accesses are one run in history order, with one
+    // entry per transaction (it writes if any of its accesses does). One
+    // flat, exactly sized allocation rather than a map of small vectors:
+    // the checker runs while the checked cluster is still in memory.
+    let mut accesses: Vec<(ObjectId, usize, bool)> =
+        Vec::with_capacity(history.iter().map(|t| t.reads.len() + t.writes.len()).sum());
+    for (i, t) in history.iter().enumerate() {
+        accesses.extend(t.reads.iter().map(|o| (*o, i, false)));
+        accesses.extend(t.writes.iter().map(|o| (*o, i, true)));
+    }
+    accesses.sort_unstable();
+    accesses.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        kept.2 |= same && next.2;
+        same
+    });
     let mut edges = BTreeSet::new();
-    for (i, a) in history.iter().enumerate() {
-        let a_writes: HashSet<ObjectId> = a.writes.iter().copied().collect();
-        let a_reads: HashSet<ObjectId> = a.reads.iter().copied().collect();
-        for b in history.iter().skip(i + 1) {
-            let conflict = b.writes.iter().any(|o| a_writes.contains(o) || a_reads.contains(o))
-                || b.reads.iter().any(|o| a_writes.contains(o));
-            if !conflict || a.id == b.id {
-                continue;
-            }
-            // Identical positions for conflicting transactions would be a
-            // recorder bug; order deterministically by id to surface it as
-            // an order conflict rather than panicking.
-            if a.position <= b.position {
-                edges.insert((a.id, b.id));
-            } else {
-                edges.insert((b.id, a.id));
+    for list in accesses.chunk_by(|a, b| a.0 == b.0) {
+        for (x, &(_, w, _)) in list.iter().enumerate().filter(|(_, (_, _, writes))| *writes) {
+            // Every other accessor, except a writer listed earlier: that
+            // pair was taken from its side already.
+            for (y, &(_, other, other_writes)) in list.iter().enumerate() {
+                if y == x || (other_writes && y < x) {
+                    continue;
+                }
+                let (a, b) = (&history[w.min(other)], &history[w.max(other)]);
+                if a.id == b.id {
+                    continue;
+                }
+                // Identical positions for conflicting transactions would be
+                // a recorder bug; order by history index to surface it as an
+                // order conflict rather than panicking.
+                if a.position <= b.position {
+                    edges.insert((a.id, b.id));
+                } else {
+                    edges.insert((b.id, a.id));
+                }
             }
         }
     }
@@ -380,8 +405,66 @@ mod tests {
         assert!(format!("{c}").contains("cycle"));
     }
 
+    /// The all-pairs definition of [`conflict_edges`]: the reference the
+    /// indexed implementation must match exactly.
+    fn conflict_edges_brute_force(history: &[CommittedTxn]) -> BTreeSet<(TxnId, TxnId)> {
+        let mut edges = BTreeSet::new();
+        for (i, a) in history.iter().enumerate() {
+            let a_writes: HashSet<ObjectId> = a.writes.iter().copied().collect();
+            let a_reads: HashSet<ObjectId> = a.reads.iter().copied().collect();
+            for b in history.iter().skip(i + 1) {
+                let conflict = b.writes.iter().any(|o| a_writes.contains(o) || a_reads.contains(o))
+                    || b.reads.iter().any(|o| a_writes.contains(o));
+                if !conflict || a.id == b.id {
+                    continue;
+                }
+                if a.position <= b.position {
+                    edges.insert((a.id, b.id));
+                } else {
+                    edges.insert((b.id, a.id));
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn equal_positions_order_by_history_index() {
+        let x = obj(0, 0);
+        let h = vec![upd(2, 4, vec![x], vec![]), upd(1, 4, vec![], vec![x])];
+        assert_eq!(conflict_edges(&h), BTreeSet::from([(tid(2), tid(1))]));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The indexed edge builder returns exactly the all-pairs set,
+        /// on histories with repeated ids and objects, equal positions,
+        /// queries, and transactions that read and write one object.
+        #[test]
+        fn prop_conflict_edges_match_brute_force(
+            txns in proptest::collection::vec(
+                (
+                    0u64..12,
+                    0u64..16,
+                    proptest::collection::vec(0u64..6, 0..4),
+                    proptest::collection::vec(0u64..6, 0..3),
+                ),
+                0..24,
+            ),
+        ) {
+            let history: Vec<CommittedTxn> = txns
+                .into_iter()
+                .map(|(seq, pos, reads, writes)| {
+                    let objs = |keys: Vec<u64>| keys.into_iter().map(|k| obj(0, k)).collect();
+                    upd(seq, pos, objs(reads), objs(writes))
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                conflict_edges(&history),
+                conflict_edges_brute_force(&history)
+            );
+        }
 
         /// Histories generated from a single serial order are always
         /// 1-copy-serializable, no matter how reads/writes overlap.

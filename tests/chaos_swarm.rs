@@ -96,3 +96,15 @@ fn reproducer_command_replays_the_same_run() {
         assert_eq!(replay.fingerprint, outcome.fingerprint, "{}", outcome.reproducer);
     }
 }
+
+/// A regression seed for crash recovery under the consensus fast first
+/// round: site 0, the round-0 coordinator of every instance, crashes
+/// right after proposing. Its restored incarnation must not propose a
+/// second value in that round (it used to, and decided it on the replayed
+/// acks of the first, splitting the definitive order across sites).
+#[test]
+fn restored_round_zero_coordinator_keeps_agreement() {
+    let cell: GridCell = "optq-conservative-rough".parse().unwrap();
+    let outcome = run_cell(&CellSpec::new(494, cell));
+    assert!(outcome.passed(), "{}\n{}", outcome.reproducer, outcome.report);
+}
