@@ -17,7 +17,7 @@ LIVE_CHAOS_SEEDS ?= 8
 #   make perf-check PERF_TOLERANCE=0.10
 PERF_TOLERANCE ?= 0.25
 
-.PHONY: all build test test-consensus bench chaos live-chaos perf perf-check soak soak-smoke ledger-test lint lint-otp fmt clippy ci clean
+.PHONY: all build test test-consensus bench chaos chaos-viewchange live-chaos perf perf-check soak soak-smoke ledger-test lint lint-otp fmt clippy ci clean
 
 all: build
 
@@ -44,6 +44,12 @@ bench:
 ## violation. See DESIGN.md §6.
 chaos:
 	CHAOS_SEEDS=$(CHAOS_SEEDS) $(CARGO) run --release -p otp-lab --bin swarm
+
+## Sweep 720 seeds of the viewchange intensity (crash, recover and
+## overlapping view-change rounds in every grid cell). A fixed budget,
+## gating in CI's tier-1 job.
+chaos-viewchange:
+	$(CARGO) run --release -p otp-lab --bin swarm -- --intensity viewchange --seeds 720
 
 ## Run LIVE_CHAOS_SEEDS seeds per fault kind (crash, partition, stall,
 ## pressure) through both the simulator and the threaded LiveCluster,
@@ -98,7 +104,7 @@ clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 ## The full CI pipeline, in CI's order.
-ci: build test test-consensus chaos perf-check ledger-test lint
+ci: build test test-consensus chaos-viewchange chaos perf-check ledger-test lint
 
 clean:
 	$(CARGO) clean

@@ -174,17 +174,20 @@ pub enum Wire<P> {
         /// The recovering site driving the round.
         initiator: SiteId,
     },
-    /// A member's reply to [`Wire::ViewChange`]: its full ordering-state
-    /// digest, unicast back to the initiator. The initiator installs the
-    /// view only after the union of all live members' digests is merged.
+    /// A member's reply to [`Wire::ViewChange`]: its ordering state above
+    /// its own delivered prefix ([`EngineSnapshot::into_delta`]), unicast
+    /// back to the initiator. The initiator installs the view only after
+    /// the union of all live members' digests is merged into a full local
+    /// snapshot of the most advanced survivor.
     StateDigest {
         /// Epoch of the round this digest answers.
         epoch: u64,
         /// The replying member.
         from: SiteId,
-        /// The member's broadcast-engine state at reply time. Boxed: it is
-        /// by far the largest variant, and every wire — most of them small
-        /// data and consensus frames — would otherwise be as large as it.
+        /// The member's broadcast-engine state at reply time, minus its
+        /// delivered prefix. Boxed: it is by far the largest variant, and
+        /// every wire — most of them small data and consensus frames —
+        /// would otherwise be as large as it.
         snapshot: Box<EngineSnapshot<P>>,
     },
 }

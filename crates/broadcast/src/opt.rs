@@ -1007,6 +1007,48 @@ mod tests {
         assert_eq!(fresh.snapshot().joined_below, 2);
     }
 
+    /// A view-change digest keeps what lies above the sender's delivered
+    /// prefix (here a message whose consensus never ran) and the scalars,
+    /// and drops the prefix: its payloads, its decided instances, the log.
+    #[test]
+    fn delta_digest_keeps_only_the_undelivered_tail() {
+        let mut es = engines(3);
+        let dom = OrderDomain::global(3);
+        for k in 0..3u32 {
+            let wires = collect_broadcast(&dom, &mut es[k as usize], SiteId::new(k as u16), k);
+            pump(&mut es, wires);
+        }
+        let wires = collect_broadcast(&dom, &mut es[2], SiteId::new(2), 99);
+        pump_withholding(&mut es, wires, |_, w| matches!(w, Wire::Consensus { .. }));
+        let full = es[1].snapshot();
+        assert_eq!(full.definitive_log.len(), 3);
+        assert_eq!(full.received.len(), 4);
+        let delta = full.clone().into_delta();
+        let tail = MsgId::new(SiteId::new(2), 1);
+        assert_eq!(delta.received.iter().map(|m| m.id).collect::<Vec<_>>(), vec![tail]);
+        assert!(delta.definitive_log.is_empty());
+        assert!(!full.decided.is_empty() && delta.decided.is_empty(), "{:?}", delta.decided);
+        assert_eq!(
+            (delta.epoch, delta.order_fence, delta.min_delivered, delta.joined_below),
+            (full.epoch, full.order_fence, full.min_delivered, full.joined_below)
+        );
+        assert_eq!(delta.min_delivered, 3);
+    }
+
+    /// Decided instances are dropped only as a leading run: the first one
+    /// holding an undelivered id keeps itself and every later one.
+    #[test]
+    fn delta_digest_drops_only_the_leading_delivered_instances() {
+        let id = |k| MsgId::new(SiteId::new(0), k);
+        let mut snap: EngineSnapshot<u32> = EngineSnapshot::empty();
+        snap.decided.insert(0, vec![id(0)]);
+        snap.decided.insert(1, vec![id(1), id(2)]);
+        snap.decided.insert(2, vec![id(3)]);
+        snap.definitive_log = vec![id(0), id(1), id(3)];
+        let delta = snap.into_delta();
+        assert_eq!(delta.decided.keys().copied().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
     #[test]
     fn own_broadcast_not_delivered_until_loopback() {
         let mut es = engines(2);

@@ -460,6 +460,38 @@ mod tests {
         assert_eq!(kinds, vec!["opt", "to"]);
     }
 
+    /// An oracle member's view-change digest keeps the message still
+    /// waiting for its agreement timer (payload and oracle tag), drops the
+    /// delivered prefix, and keeps the scalars.
+    #[test]
+    fn delta_digest_keeps_only_the_undelivered_tail() {
+        let cfg = ScrambleConfig::delay_only(SimDuration::from_millis(1));
+        let mut rng = SimRng::seed_from(5);
+        let dom = OrderDomain::global(2);
+        let c0 = EngineCtx::new(SiteId::new(0), &dom);
+        let mut e: ScrambledAbcast<u32> = ScrambledAbcast::new(cfg, Oracle::new(), rng.fork());
+        let id = |k| MsgId::new(SiteId::new(1), k);
+        for k in 0..4u64 {
+            let msg = Message { id: id(k), payload: k as u32 };
+            e.on_receive(&c0, SiteId::new(1), Wire::OracleData { msg, oracle_seq: k });
+            if k < 3 {
+                e.on_timer(&c0, TimerToken { instance: k, round: ORACLE_ROUND });
+            }
+        }
+        let full = e.snapshot();
+        assert_eq!(full.definitive_log, vec![id(0), id(1), id(2)]);
+        let delta = full.clone().into_delta();
+        assert!(delta.definitive_log.is_empty());
+        assert!(delta.decided.is_empty(), "the implicit batch is all delivered");
+        assert_eq!(delta.received.iter().map(|m| m.id).collect::<Vec<_>>(), vec![id(3)]);
+        assert_eq!(delta.order_tags, vec![(id(3), 3)]);
+        assert_eq!(
+            (delta.epoch, delta.order_fence, delta.min_delivered, delta.joined_below),
+            (full.epoch, full.order_fence, full.min_delivered, full.joined_below)
+        );
+        assert_eq!(delta.min_delivered, 3);
+    }
+
     #[test]
     fn restore_does_not_reuse_own_msg_ids() {
         // Found by the chaos swarm: a restored endpoint restarting at

@@ -934,6 +934,39 @@ mod tests {
         assert!(id.seq > huge, "must clear every reported id: {} <= {huge}", id.seq);
     }
 
+    /// A sequencer member's view-change digest keeps the undelivered
+    /// assignment and payload above its delivered prefix, drops the
+    /// prefix's payloads, tags and implicit batch, and keeps the scalars.
+    #[test]
+    fn delta_digest_keeps_only_the_undelivered_tail() {
+        let mut es = engines(3);
+        let dom = OrderDomain::global(3);
+        let mut wires = Vec::new();
+        for k in 0..3u32 {
+            wires.extend(bcast(&dom, &mut es[1], SiteId::new(1), k));
+        }
+        pump(&mut es, wires);
+        let c2 = EngineCtx::new(SiteId::new(2), &dom);
+        es[2].install_view(3, true);
+        // An assignment whose data has not arrived, and data without one.
+        let ordered = MsgId::new(SiteId::new(1), 7);
+        let unordered = MsgId::new(SiteId::new(0), 9);
+        es[2].on_receive(&c2, SiteId::new(0), Wire::SeqOrder { epoch: 3, seqno: 3, id: ordered });
+        es[2].on_receive(&c2, SiteId::new(0), Wire::Data(Message { id: unordered, payload: 5 }));
+        let full = es[2].snapshot();
+        assert_eq!(full.definitive_log.len(), 3);
+        let delta = full.clone().into_delta();
+        assert!(delta.definitive_log.is_empty());
+        assert!(delta.decided.is_empty(), "the implicit batch is all delivered");
+        assert_eq!(delta.received.iter().map(|m| m.id).collect::<Vec<_>>(), vec![unordered]);
+        assert_eq!(delta.order_tags, vec![(ordered, 3)]);
+        assert_eq!(
+            (delta.epoch, delta.order_fence, delta.min_delivered, delta.joined_below),
+            (full.epoch, full.order_fence, full.min_delivered, full.joined_below)
+        );
+        assert_eq!((delta.epoch, delta.order_fence, delta.min_delivered), (3, 3, 3));
+    }
+
     /// Epoch fencing: after a view change fences the dead sequencer
     /// incarnation, its late assignment frames are rejected (and counted),
     /// while same-or-newer-epoch assignments are applied.

@@ -9,12 +9,13 @@ use std::fmt;
 /// State carried from a live site to a recovering one.
 ///
 /// Recovery model (see DESIGN.md §4 and §7): the recovering driver takes a
-/// base snapshot from the most advanced survivor and *merges in* the state
-/// digests of every other live member (union-of-survivors), so an order
-/// assignment or payload known to any survivor — not just one donor —
-/// reaches the restored engine. The engine restores the merged snapshot,
-/// suppresses re-delivery of everything already in the definitive log, and
-/// joins new consensus instances as their first messages arrive.
+/// full base snapshot from the most advanced survivor and *merges in* the
+/// state digests ([`EngineSnapshot::into_delta`]) of every other live
+/// member (union-of-survivors), so an order assignment or payload known
+/// to any survivor — not just one donor — reaches the restored engine. The
+/// engine restores the merged snapshot, suppresses re-delivery of
+/// everything already in the definitive log, and joins new consensus
+/// instances as their first messages arrive.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineSnapshot<P> {
     /// Decided batches by consensus instance (empty for engines that do
@@ -74,6 +75,34 @@ impl<P> EngineSnapshot<P> {
         }
     }
 
+    /// The view-change digest form of this snapshot: everything *above*
+    /// the snapshotting engine's own delivered prefix.
+    ///
+    /// Drops the payloads and order tags of delivered ids, the leading
+    /// run of decided instances that lie wholly inside the prefix, and the
+    /// definitive log itself (which [`EngineSnapshot::merge`] discards
+    /// anyway). The scalars (`epoch`, `order_fence`, `min_delivered`,
+    /// `joined_below`) are kept as they are.
+    ///
+    /// Safe because the recovering driver merges digests into a *full*
+    /// local snapshot of the live member with the longest log: Global
+    /// Order makes every live sender's delivered prefix a prefix of that
+    /// base's, so the base already holds everything dropped here, while
+    /// the sender's undelivered knowledge stays in its digest. A digest
+    /// thus costs the in-flight window rather than the whole history.
+    pub fn into_delta(mut self) -> Self {
+        let delivered: std::collections::HashSet<MsgId> = self.definitive_log.drain(..).collect();
+        self.received.retain(|m| !delivered.contains(&m.id));
+        self.order_tags.retain(|(id, _)| !delivered.contains(id));
+        while let Some(first) = self.decided.first_entry() {
+            if !first.get().iter().all(|id| delivered.contains(id)) {
+                break;
+            }
+            first.remove();
+        }
+        self
+    }
+
     /// Union-of-survivors merge: folds `other` into `self`.
     ///
     /// * `decided` — union by instance (consensus Agreement guarantees any
@@ -83,10 +112,14 @@ impl<P> EngineSnapshot<P> {
     ///   the merged engine state with the replica of the site the *base*
     ///   snapshot came from, and everything in the definitive log is
     ///   suppressed from re-delivery — so the log must never grow past
-    ///   what that replica actually executed. A digest whose sender was
-    ///   further along (it may even have crashed since replying) loses
-    ///   nothing: its delivered tail re-delivers through `order_tags` /
-    ///   `decided`, which cover every slot the sender ever knew;
+    ///   what that replica actually executed. A view-change digest carries
+    ///   no log at all ([`EngineSnapshot::into_delta`]): a *live* sender's
+    ///   delivered prefix is a prefix of the base's, whose full snapshot
+    ///   holds every payload, batch and slot of it. A sender that crashed
+    ///   after replying and had delivered past the base loses that tail,
+    ///   exactly as a member that crashed before replying loses its
+    ///   knowledge; everything it knew *above* its own prefix still
+    ///   arrives through `received` / `order_tags` / `decided`;
     /// * `order_tags` — union by seqno (the sequencer never reassigns a
     ///   seqno, so any two tags for one slot agree); the max-seqno union is
     ///   what closes the single-donor renumber window;
@@ -105,10 +138,8 @@ impl<P> EngineSnapshot<P> {
                 self.received.push(m);
             }
         }
-        // `other.definitive_log` is deliberately dropped — see above. Its
-        // entries survive in the unions below (a sequencer/oracle digest
-        // tags every slot it ever saw; an opt digest's decided map covers
-        // its whole log).
+        // `other.definitive_log` is deliberately dropped — see above (a
+        // view-change digest never carries one).
         let mut slots: BTreeMap<u64, MsgId> =
             self.order_tags.iter().map(|(id, seqno)| (*seqno, *id)).collect();
         for (id, seqno) in other.order_tags {

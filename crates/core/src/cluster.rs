@@ -891,14 +891,13 @@ pub struct Cluster {
     /// must still fence the dead incarnation's order assignments when it
     /// catches up at install.
     sequencer_fence: Vec<u64>,
-    /// In-flight view-change rounds, keyed by (domain, recovering
-    /// initiator) — a sharded site recovers each of its domains
-    /// independently. BTreeMap: crash notifications iterate this, and the
-    /// iteration order must be deterministic for byte-identical replays.
+    /// View-change rounds not yet installed, keyed by (domain, recovering
+    /// initiator) — a sharded site runs one round per domain, and a
+    /// completed round waits here until the site's last round completes
+    /// ([`Cluster::install_if_ready`]). BTreeMap: crash notifications
+    /// iterate this, and the iteration order must be deterministic for
+    /// byte-identical replays.
     pending_views: BTreeMap<(u16, SiteId), ViewChange<TxnPayload>>,
-    /// Per recovering site: the domains whose round has not installed
-    /// yet. The site starts serving when this empties.
-    pending_domains: Vec<BTreeSet<u16>>,
     /// Per-site *group-domain* view epochs in installation order
     /// (invariant: strictly increasing; live group members converge on
     /// the newest). The last entry is the site's currently installed
@@ -918,6 +917,9 @@ pub struct Cluster {
     /// Rounds explicitly aborted because a newer round for the same site
     /// superseded them (newest epoch wins).
     superseded_views: Arc<Counter>,
+    /// Wire bytes of every state digest sent (the view-change cost that
+    /// queues ahead of data and consensus frames on a shared segment).
+    view_digest_bytes: Arc<Counter>,
     /// Per-site open delivery quantum: wires accumulated since the window
     /// opened (empty = no window open). Only used when
     /// `config.delivery_quantum > 0`.
@@ -1090,13 +1092,13 @@ impl Cluster {
             next_epoch: vec![1; num_domains],
             sequencer_fence: vec![0; num_domains],
             pending_views: BTreeMap::new(),
-            pending_domains: (0..sites).map(|_| BTreeSet::new()).collect(),
             epoch_history: (0..sites).map(|_| Vec::new()).collect(),
             relay_epoch: vec![0; sites],
             relay_processed: vec![0; sites],
             relay_view_installs: metrics.counter("relay_view_install", Scope::global()),
             stale_view_digests: metrics.counter("stale_view_digest", Scope::global()),
             superseded_views: metrics.counter("view_supersede", Scope::global()),
+            view_digest_bytes: metrics.counter("view_digest_bytes", Scope::global()),
             open_quantum: (0..sites).map(|_| Vec::new()).collect(),
             quantum_gen: vec![0; sites],
             held_wires: (0..sites).map(|_| Vec::new()).collect(),
@@ -1760,14 +1762,21 @@ impl Cluster {
                 // dead incarnation is inside the digest, and anything
                 // arriving after it is fenced — no assignment can slip
                 // between the two (the union argument, DESIGN.md §7).
+                // Only what lies above this member's delivered prefix
+                // travels: the installer's base snapshot holds the prefix.
                 let snapshot = if self.topology.is_relay(du) {
                     self.relay_engines[to.index()].snapshot()
                 } else {
                     self.engines[to.index()].snapshot()
                 };
                 self.record_install(to, d, epoch, self.domain_sequencer(du) == Some(initiator));
-                let digest = Wire::StateDigest { epoch, from: to, snapshot: Box::new(snapshot) };
+                let digest = Wire::StateDigest {
+                    epoch,
+                    from: to,
+                    snapshot: Box::new(snapshot.into_delta()),
+                };
                 let size = digest.size_bytes();
+                self.view_digest_bytes.add(u64::from(size));
                 let now = self.queue.now();
                 if self.topology.cross_frame(to, initiator) {
                     self.cross_group_frames.incr();
@@ -1786,7 +1795,7 @@ impl Cluster {
                     return;
                 };
                 match round.on_digest(from, epoch, *snapshot) {
-                    DigestOutcome::Completed => self.install_view_for(d, to),
+                    DigestOutcome::Completed => self.install_if_ready(to),
                     DigestOutcome::Accepted => {}
                     DigestOutcome::WrongEpoch { .. } | DigestOutcome::Unexpected => {
                         self.stale_view_digests.incr();
@@ -1839,19 +1848,18 @@ impl Cluster {
             for key in stale {
                 self.pending_views.remove(&key);
             }
-            self.pending_domains[site.index()].clear();
         }
         self.local_epoch[site.index()] += 1;
         self.net.set_down(site);
-        let completed: Vec<(u16, SiteId)> = self
+        let completed: BTreeSet<SiteId> = self
             .pending_views
             .iter_mut()
-            .filter_map(|((d, initiator), round)| {
-                round.on_member_crashed(site).then_some((*d, *initiator))
+            .filter_map(|((_, initiator), round)| {
+                round.on_member_crashed(site).then_some(*initiator)
             })
             .collect();
-        for (d, initiator) in completed {
-            self.install_view_for(d, initiator);
+        for initiator in completed {
+            self.install_if_ready(initiator);
         }
     }
 
@@ -1861,7 +1869,7 @@ impl Cluster {
     /// Every member replies with a state digest; a domain's view installs
     /// when the union of its replies is merged, and the site starts
     /// serving once every domain has installed (see
-    /// [`Cluster::install_view_for`] / [`Cluster::finish_site_recovery`]).
+    /// [`Cluster::install_if_ready`]).
     /// `donor` is a liveness hint kept from the pre-view-change API: it
     /// must be up, but the actual state sources are *all* live members,
     /// with the most advanced survivor as the base.
@@ -1896,6 +1904,7 @@ impl Cluster {
                     self.propose_round(d, site);
                 }
             }
+            self.install_if_ready(site);
             return;
         }
         if !self.crashed[site.index()] {
@@ -1905,20 +1914,18 @@ impl Cluster {
         self.crashed[site.index()] = false;
         self.recovering[site.index()] = true;
         self.net.set_up(site);
-        self.pending_domains[site.index()].insert(self.topology.group_of_site(site) as u16);
+        self.propose_round(self.topology.group_of_site(site) as u16, site);
         if self.config.groups > 1 {
-            self.pending_domains[site.index()].insert(self.topology.relay_idx() as u16);
+            self.propose_round(self.topology.relay_idx() as u16, site);
         }
-        let domains: Vec<u16> = self.pending_domains[site.index()].iter().copied().collect();
-        for d in domains {
-            self.propose_round(d, site);
-        }
+        self.install_if_ready(site);
     }
 
     /// Proposes domain `d`'s next epoch for recovering `site` and
     /// multicasts the announcement to the domain. A domain with no other
-    /// live member completes at propose (nothing to collect) and installs
-    /// immediately from this site's own stable-storage state.
+    /// live member completes at propose (nothing to collect): it installs
+    /// from this site's own stable-storage state, together with the
+    /// site's other rounds.
     fn propose_round(&mut self, d: u16, site: SiteId) {
         let du = d as usize;
         let epoch = self.next_epoch[du];
@@ -1935,9 +1942,7 @@ impl Cluster {
         let round = ViewChange::propose(epoch, site, members);
         let complete = round.is_complete();
         self.pending_views.insert((d, site), round);
-        if complete {
-            self.install_view_for(d, site);
-        } else {
+        if !complete {
             self.apply_engine_actions(
                 site,
                 d,
@@ -1946,27 +1951,57 @@ impl Cluster {
         }
     }
 
-    /// Completes one domain's view-change round: restores `site`'s engine
-    /// for that domain from the most advanced survivor's state (engine +
-    /// replica snapshotted at the same instant, so the pair is
-    /// consistent) merged with the union of every collected digest,
-    /// re-teaches the site its own surviving held wires, fences the dead
-    /// incarnation where needed — and, once the site's *last* pending
-    /// domain installs, finishes recovery
-    /// ([`Cluster::finish_site_recovery`]).
+    /// Installs every round of recovering `site` once the last of them is
+    /// complete, all at one instant and group before relay (domain order),
+    /// then finishes the recovery ([`Cluster::finish_site_recovery`]).
+    ///
+    /// One instant matters when sharded: the group install adopts the gate
+    /// (with its count of processed relay deliveries) from the group's
+    /// primary, and the relay install restores the relay log from the
+    /// relay's primary. At one instant the relay primary's log is the
+    /// longest live one, so it covers every relay position the group
+    /// primary processed; with time between the two installs, the group
+    /// primary could process relay deliveries the restored relay log
+    /// does not hold (DESIGN.md §7).
+    fn install_if_ready(&mut self, site: SiteId) {
+        let mut domains = Vec::new();
+        for ((d, initiator), round) in &self.pending_views {
+            if *initiator == site {
+                if !round.is_complete() {
+                    return;
+                }
+                domains.push(*d);
+            }
+        }
+        if domains.is_empty() {
+            return;
+        }
+        for d in domains {
+            self.install_view_for(d, site);
+        }
+        self.finish_site_recovery(site);
+    }
+
+    /// Installs one domain's completed view-change round: restores
+    /// `site`'s engine for that domain from the most advanced survivor's
+    /// full local state (engine + replica snapshotted at the same instant,
+    /// so the pair is consistent) merged with the union of every collected
+    /// digest, re-teaches the site its own surviving held wires and fences
+    /// the dead incarnation where needed.
     fn install_view_for(&mut self, d: u16, site: SiteId) {
         let du = d as usize;
         let round = self.pending_views.remove(&(d, site)).expect("round pending for installer");
         let epoch = round.epoch();
         // The base pair: among the domain's live members, the one whose
-        // definitive log is longest — restoring from the most advanced
-        // survivor minimizes re-execution at the recovered replica.
-        // Consistency does not depend on this choice: `EngineSnapshot::
-        // merge` never lets a digest extend the base's definitive log (a
-        // digest sender that was ahead may have crashed since replying),
-        // so the restored engine only suppresses re-delivery of what the
-        // base replica actually executed; everything beyond it re-delivers
-        // through the merged order tags / decided instances.
+        // definitive log is longest, snapshotted in full right now. The
+        // digests carry nothing of their senders' delivered prefixes, and
+        // Global Order makes every live sender's prefix a prefix of this
+        // base's log, so the base supplies them; it also minimizes
+        // re-execution at the recovered replica. `EngineSnapshot::merge`
+        // never lets a digest extend the base's definitive log, so the
+        // restored engine only suppresses re-delivery of what the base
+        // replica actually executed; what a digest knows beyond it
+        // re-delivers through the merged order tags / decided instances.
         let mut primary: Option<SiteId> = None;
         let members = self.topology.domains[du].members.clone();
         for s in members {
@@ -2087,13 +2122,9 @@ impl Cluster {
         } else {
             self.engines[site.index()].install_view(fence, true);
         }
-        self.pending_domains[site.index()].remove(&d);
-        if self.pending_domains[site.index()].is_empty() {
-            self.finish_site_recovery(site);
-        }
     }
 
-    /// The site's last pending domain installed: catch up to the newest
+    /// Every round of the site installed: catch up to the newest
     /// epochs any live peer carries, reconcile the relay tail into the
     /// gate, refresh the cluster-wide membership view and replay
     /// everything held while down.
@@ -2130,14 +2161,18 @@ impl Cluster {
             // Relay definitive deliveries beyond what the adopted gate had
             // folded in were skipped while recovering (`process_relay_to`
             // no-ops then): fold the tail in now. Prefix consistency
-            // (Global Order) guarantees the restored relay log extends the
-            // gate primary's processed prefix; `.get` clamps defensively.
+            // (Global Order) plus installing every domain at one instant
+            // guarantee the restored relay log extends the gate primary's
+            // processed prefix.
             let done = self.relay_processed[site.index()];
-            let tail: Vec<MsgId> = self.relay_engines[site.index()]
-                .definitive_log()
-                .get(done..)
-                .map(|s| s.to_vec())
-                .unwrap_or_default();
+            let log = self.relay_engines[site.index()].definitive_log();
+            assert!(
+                done <= log.len(),
+                "{site}: the adopted gate processed {done} relay deliveries, \
+                 but the restored relay log holds {}",
+                log.len()
+            );
+            let tail = log[done..].to_vec();
             if !tail.is_empty() {
                 self.process_relay_to(site, &tail);
             }
@@ -3266,6 +3301,84 @@ mod tests {
         assert_eq!(c.replicas[3].db().read_committed(ObjectId::new(1, 0)), Some(&Value::Int(104)));
     }
 
+    /// Sharded recovery installs a site's group and relay rounds at one
+    /// instant. Site 1's group digest (site 0's reply) is held behind a
+    /// partition, so its relay round completes first, and site 0 — group
+    /// primary and relay sequencer — then processes a new cross-group
+    /// transaction. Installed round by round, site 1 restored its relay
+    /// log first and then adopted site 0's larger count of processed relay
+    /// deliveries with the group install, counting a relay position its
+    /// own log did not hold. Every live site's count must equal its relay
+    /// log.
+    #[test]
+    fn sharded_recovery_installs_group_and_relay_at_one_instant() {
+        use otp_simnet::nemesis::{NemesisEvent, NemesisSchedule};
+        let add = |delta: i64| (ProcId::new(0), vec![Value::Int(0), Value::Int(delta)]);
+        let cross = |c: &mut Cluster, at: SimTime, site: u16| {
+            let ((p0, a0), (p1, a1)) = (add(100), add(100));
+            c.schedule_cross_update(
+                at,
+                SiteId::new(site),
+                vec![(ClassId::new(0), p0, a0), (ClassId::new(1), p1, a1)],
+            )
+        };
+        let mut c = cluster(sharded_cfg(4, 2, 2, 31), initial_data(2, 1));
+        // A group-0 history long enough that a full group digest takes
+        // milliseconds on the wire, and two cross-group transactions.
+        let mut t = SimTime::from_millis(1);
+        for _ in 0..60 {
+            let (p, a) = add(1);
+            c.schedule_update(t, SiteId::new(0), ClassId::new(0), p, a);
+            t += SimDuration::from_micros(200);
+        }
+        cross(&mut c, SimTime::from_millis(20), 2);
+        cross(&mut c, SimTime::from_millis(22), 3);
+        c.schedule_crash(SimTime::from_millis(30), SiteId::new(1));
+        c.schedule_nemesis(&NemesisSchedule::from_events(vec![
+            (
+                SimTime::from_millis(35),
+                NemesisEvent::PartitionHalves { group_a: vec![SiteId::new(0)] },
+            ),
+            (SimTime::from_millis(45), NemesisEvent::Heal),
+        ]));
+        c.schedule_recover(SimTime::from_millis(40), SiteId::new(1), SiteId::new(2));
+        cross(&mut c, SimTime::from_micros(45_050), 0);
+        // Site 1's relay round completes while its group round still waits
+        // for site 0's digest; the two then install together.
+        let mut relay_first = false;
+        let mut t = SimTime::from_micros(40_010);
+        while (t < SimTime::from_millis(41) || c.recovering[1]) && t < SimTime::from_secs(1) {
+            c.run_until(t);
+            let complete =
+                |d: u16| c.pending_views.get(&(d, SiteId::new(1))).map(|r| r.is_complete());
+            relay_first |= complete(2) == Some(true) && complete(0) == Some(false);
+            t += SimDuration::from_micros(10);
+        }
+        assert!(relay_first, "the relay round completed first");
+        let mut probes = Vec::new();
+        for s in 0..4u16 {
+            let (p, a) = add(1);
+            probes.push(c.schedule_update(
+                SimTime::from_millis(300),
+                SiteId::new(s),
+                ClassId::new((s / 2) as u32),
+                p,
+                a,
+            ));
+        }
+        c.run_until(SimTime::from_secs(60));
+        let report = c.check_invariants(&probes);
+        assert!(report.is_ok(), "{report}");
+        for s in SiteId::all(4) {
+            assert_eq!(
+                c.relay_processed[s.index()],
+                c.relay_engines[s.index()].definitive_log().len(),
+                "{s}: relay deliveries processed vs relay log"
+            );
+        }
+        assert_eq!(c.relay_engines[1].definitive_log().len(), 3);
+    }
+
     #[test]
     #[should_panic(expected = "do not partition evenly")]
     fn builder_rejects_uneven_site_partition() {
@@ -3401,5 +3514,41 @@ mod tests {
         assert_eq!(kind("nack"), 0, "no round timer fired");
         assert_eq!(kind("helpout"), 0, "a late ack is not answered");
         assert_eq!(kind("propose"), kind("decide"), "one decide per propose");
+    }
+
+    /// A view-change digest carries only what lies above its sender's
+    /// delivered prefix, so its cost does not grow with history: in a
+    /// quiet moment of a 16-site `lan_fast` cluster the 15 replies cost
+    /// the same bytes whether the crash comes at 100 ms or at 400 ms.
+    #[test]
+    fn view_digest_bytes_do_not_grow_with_history() {
+        let digest_bytes = |crash_ms: u64| {
+            let cfg = ClusterConfig::new(16, 4)
+                .with_net(NetConfig::lan_fast(16))
+                .with_engine(EngineKind::Opt { consensus_timeout: SimDuration::from_millis(20) })
+                .with_mode(Mode::Conservative)
+                .with_seed(11);
+            let mut c = cluster(cfg, initial_data(4, 4));
+            // One update per millisecond, paused around the crash and the
+            // recovery so every member has delivered all it knows.
+            let quiet = crash_ms - 5..crash_ms + 25;
+            for ms in (1..500).filter(|ms| !quiet.contains(ms)) {
+                c.schedule_update(
+                    SimTime::from_millis(ms),
+                    SiteId::new((ms % 16) as u16),
+                    ClassId::new((ms % 4) as u32),
+                    ProcId::new(0),
+                    vec![Value::Int((ms % 4) as i64), Value::Int(1)],
+                );
+            }
+            c.schedule_crash(SimTime::from_millis(crash_ms), SiteId::new(5));
+            c.schedule_recover(SimTime::from_millis(crash_ms + 10), SiteId::new(5), SiteId::new(6));
+            c.run_until(SimTime::from_secs(5));
+            assert!(c.converged(), "crash at {crash_ms} ms");
+            c.metrics().counter_total("view_digest_bytes")
+        };
+        let (early, late) = (digest_bytes(100), digest_bytes(400));
+        assert!(early > 0, "15 members replied");
+        assert_eq!(early, late, "digest bytes at 100 ms vs 400 ms");
     }
 }

@@ -9,7 +9,12 @@
 //! position. This crate provides the standard fix from the ABC literature:
 //! **view-change recovery** — before a site is re-admitted, it collects an
 //! ordering-state digest from *every* live member of the proposed view and
-//! restores from the **union of survivors**.
+//! restores from the **union of survivors**. A digest carries only what
+//! lies above its sender's own delivered prefix
+//! ([`otp_broadcast::EngineSnapshot::into_delta`]): the driver merges the
+//! digests into a full local snapshot of the most advanced live member,
+//! which already holds every live member's delivered prefix, so a digest
+//! costs the in-flight window rather than the whole history.
 //!
 //! Three pieces:
 //!

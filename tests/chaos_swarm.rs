@@ -108,3 +108,17 @@ fn restored_round_zero_coordinator_keeps_agreement() {
     let outcome = run_cell(&CellSpec::new(494, cell));
     assert!(outcome.passed(), "{}\n{}", outcome.reproducer, outcome.report);
 }
+
+/// Regression seeds for sharded crash recovery: a recovering site's relay
+/// round installed before its group round, and the group install then
+/// adopted a count of processed relay deliveries beyond the restored relay
+/// log. Both seeds split the commit order, diverged state and lost
+/// liveness. Every domain of a site now installs at one instant.
+#[test]
+fn sharded_recovery_installs_every_domain_at_one_instant() {
+    for (seed, cell) in [(17866, "sharded-otp-hostile"), (20846, "sharded-conservative-hostile")] {
+        let cell: GridCell = cell.parse().unwrap();
+        let outcome = run_cell(&CellSpec::new(seed, cell));
+        assert!(outcome.passed(), "{}\n{}", outcome.reproducer, outcome.report);
+    }
+}
